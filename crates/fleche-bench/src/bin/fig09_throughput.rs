@@ -11,7 +11,8 @@ use fleche_bench::{
 use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{
-    serve, serve_concurrent, ConcurrentConfig, DenseModel, InferenceEngine, ModelMode, ServerConfig,
+    serve, serve_concurrent, ConcurrentConfig, DenseModel, InferenceEngine, ModelMode,
+    ServerConfig, DEFAULT_PIPELINE_DEPTH, DEFAULT_SHARD_CAPACITY,
 };
 use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
@@ -56,8 +57,16 @@ fn front_end_comparison() {
         format!("{:.0} us", serial.latency.p99().as_us()),
     ]);
     for workers in [1usize, 4] {
-        let mut ccfg = ConcurrentConfig::mirror_serial(&cfg, workers);
-        ccfg.linger = Some(Ns::from_us(1_200.0));
+        let ccfg = ConcurrentConfig {
+            server: cfg.clone(),
+            workers,
+            linger: Some(Ns::from_us(1_200.0)),
+            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
+            pace: 0.0,
+            bursts: Vec::new(),
+            analyze: false,
+            shard_capacity: DEFAULT_SHARD_CAPACITY,
+        };
         let run = serve_concurrent(build, &ccfg);
         let p99 = run
             .workers

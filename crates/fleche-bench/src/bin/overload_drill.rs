@@ -46,6 +46,7 @@ use fleche_core::{FlecheConfig, FlecheSystem, TenantCacheStats};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{
     serve_multi_tenant, DenseModel, InferenceEngine, ModelMode, MultiTenantConfig, MultiTenantRun,
+    Warmup,
 };
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
@@ -140,9 +141,7 @@ fn drill_a_config(requests: usize) -> MultiTenantConfig {
 /// round-robin warm-up, used to offset the crowd's key-churn window from
 /// arrival time into the generator's sample-index domain.
 fn warmup_samples_tenant0(cfg: &MultiTenantConfig) -> u64 {
-    let chunk = cfg.max_batch.min(256);
-    let rounds = cfg.warmup_requests.div_ceil(chunk);
-    (rounds.div_ceil(TENANTS) * chunk) as u64
+    Warmup::new(cfg.warmup_requests, cfg.max_batch).samples(0, TENANTS)
 }
 
 fn drill_flash_crowd(analyze: bool) -> FlashCrowdReport {

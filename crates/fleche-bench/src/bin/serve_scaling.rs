@@ -140,7 +140,14 @@ fn phase_identity(j: &mut JsonEmitter) -> bool {
     for (name, cfg) in &cases {
         let (mut eng, mut gen) = build(0);
         let serial = serve(&mut eng, &mut gen, cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(cfg, 1));
+        let streaming = ConcurrentConfig {
+            server: cfg.clone(),
+            workers: 1,
+            linger: None,
+            pace: 0.0,
+            ..scaling_config(1, cfg.requests)
+        };
+        let conc = serve_concurrent(build, &streaming);
         let bad = identity_diff(&serial, &conc.workers[0].run);
         let ok = bad.is_empty();
         all_ok &= ok;
@@ -167,13 +174,15 @@ fn phase_identity(j: &mut JsonEmitter) -> bool {
 
 fn scaling_config(workers: usize, requests: usize) -> ConcurrentConfig {
     ConcurrentConfig {
+        server: ServerConfig {
+            offered_load: LOAD,
+            max_batch: 256,
+            requests,
+            warmup_requests: 48_000,
+            queue_capacity: None,
+            deadline: None,
+        },
         workers,
-        offered_load: LOAD,
-        max_batch: 256,
-        requests,
-        warmup_requests: 48_000,
-        queue_capacity: None,
-        deadline: None,
         linger: Some(LINGER),
         pipeline_depth: DEPTH,
         pace: PACE,
@@ -307,8 +316,8 @@ fn phase_overload(j: &mut JsonEmitter) -> bool {
         let mut cfg = scaling_config(2, requests);
         cfg.pace = 0.0;
         cfg.linger = None;
-        cfg.queue_capacity = Some(512);
-        cfg.deadline = Some(deadline);
+        cfg.server.queue_capacity = Some(512);
+        cfg.server.deadline = Some(deadline);
         cfg.bursts = bursts;
         serve_concurrent(build, &cfg)
     };
@@ -363,7 +372,7 @@ fn phase_analyze(j: &mut JsonEmitter) -> bool {
     println!("\n--- phase 4: hand-off race analysis ---");
     let mut cfg = scaling_config(2, 20_000);
     cfg.pace = 0.0;
-    cfg.warmup_requests = 8_000;
+    cfg.server.warmup_requests = 8_000;
     cfg.analyze = true;
     let run = serve_concurrent(build, &cfg);
     let races = run.races.expect("analyze mode reports races");

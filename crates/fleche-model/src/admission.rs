@@ -23,21 +23,24 @@
 //!   wraps a [`fleche_chaos::StalenessPolicy`] with the p99/SLO ratio
 //!   mapped onto its lag domain.
 //!
-//! [`serve_multi_tenant`] drives all of it in one deterministic
-//! discrete-event loop (the multi-tenant sibling of
-//! [`serve`](crate::serve)): per-tenant Poisson arrival streams merge
-//! into one admission-controlled queue, batches are formed per tenant
+//! [`serve_multi_tenant`] runs all of it as an admission policy of the
+//! serving loop [`serve`](crate::serve) runs ([`crate::server`]):
+//! per-tenant Poisson arrival streams merge into one
+//! admission-controlled queue, batches are formed per tenant
 //! (tenants are separate models — their requests cannot share a device
 //! batch), and cache hit rates are attributed per tenant from the
 //! system's lifetime counters.
 
-use crate::engine::InferenceEngine;
+use crate::concurrent::replay_ring;
+use crate::engine::{InferenceEngine, InferenceTiming};
 use crate::latency::LatencyRecorder;
-use crate::server::{misses_deadline, ARRIVAL_SEED};
+use crate::server::{
+    arrival_times, drive, misses_deadline, Admission, Arrival, Warmup, ARRIVAL_SEED,
+};
 use fleche_chaos::{StalenessConfig, StalenessPolicy};
-use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_workload::{ArrivalGen, BurstWindow, TraceGenerator};
+use fleche_workload::{Batch, BurstWindow, TraceGenerator};
 use std::collections::VecDeque;
 
 /// Host-side cost constants of the admission path, priced like every
@@ -296,7 +299,7 @@ impl MultiTenantConfig {
 }
 
 /// One tenant's serving outcome.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TenantRun {
     /// Requests offered (arrived).
     pub offered: u64,
@@ -429,258 +432,223 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
         assert!(t.offered_load > 0.0, "offered load must be positive");
         assert!(t.quota > 0.0, "quota must be positive");
     }
+    Warmup::new(config.warmup_requests, config.max_batch).run(engine, gens);
 
-    // Warm every tenant's working set round-robin, under its identity so
-    // tenant-partitioned caches attribute the residency correctly.
-    let warm_chunk = config.max_batch.min(256);
-    for round in 0..config.warmup_requests.div_ceil(warm_chunk) {
-        let t = round % n;
-        engine.system_mut().set_active_tenant(t);
-        let b = gens[t].next_batch(warm_chunk);
-        engine.run_batch(&b);
-    }
-    engine.system_mut().reset_stats();
-
-    // Pre-draw each tenant's Poisson arrivals from its own substream,
-    // then merge into one time-ordered stream (ties break by tenant).
+    // Draw each tenant's Poisson arrivals from its own substream, then
+    // merge into one time-ordered stream (the stable sort breaks ties by
+    // tenant).
     let base = engine.gpu().now();
-    let mut merged: Vec<(Ns, usize)> = Vec::new();
-    for (ti, spec) in config.tenants.iter().enumerate() {
-        let seed = ARRIVAL_SEED.wrapping_add((ti as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut agen = ArrivalGen::new(seed, Ns::from_secs(1.0 / spec.offered_load).as_ns())
-            .with_bursts(spec.bursts.clone());
-        let mut t = base;
-        for _ in 0..spec.requests {
-            t += Ns(agen.next_gap_ns());
-            merged.push((t, ti));
+    let mut merged: Vec<Arrival> = Vec::new();
+    for (tenant, spec) in config.tenants.iter().enumerate() {
+        let seed = ARRIVAL_SEED.wrapping_add((tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        merged.extend(
+            arrival_times(seed, spec.offered_load, &spec.bursts, base)
+                .take(spec.requests)
+                .map(|at| Arrival { at, tenant }),
+        );
+    }
+    merged.sort_by(|a, b| a.at.as_ns().total_cmp(&b.at.as_ns()));
+
+    let mut policy = TenantQuota::new(config, base, merged.len());
+    drive(engine, gens, merged.into_iter(), &mut policy, &mut ());
+    policy.finish()
+}
+
+/// The tenant-quota admission policy: token-bucket quotas with
+/// over-quota-first shedding into a hard-bounded queue, per-tenant
+/// batches, admission-cost charges and the SLO controller.
+struct TenantQuota<'a> {
+    config: &'a MultiTenantConfig,
+    buckets: Vec<TokenBucket>,
+    controller: AdmissionController,
+    runs: Vec<TenantRun>,
+    /// Each tenant's latencies since the controller last read them.
+    windows: Vec<LatencyRecorder>,
+    queue: VecDeque<Waiting>,
+    intervals: Vec<ShedInterval>,
+    interval_len: usize,
+    arrived: usize,
+    max_queue_depth: usize,
+    batches: u64,
+    /// Simulated host nanoseconds of admission work accrued since the
+    /// last batch, charged in one lump before the next engine invocation.
+    pending_cost_ns: f64,
+}
+
+impl<'a> TenantQuota<'a> {
+    fn new(config: &'a MultiTenantConfig, base: Ns, arrivals: usize) -> TenantQuota<'a> {
+        let n = config.tenants.len();
+        TenantQuota {
+            config,
+            buckets: config
+                .tenants
+                .iter()
+                .map(|t| TokenBucket::new(t.quota_burst.max(1.0), base))
+                .collect(),
+            controller: AdmissionController::new(n, config.controller),
+            runs: (0..n).map(|_| TenantRun::default()).collect(),
+            windows: (0..n).map(|_| LatencyRecorder::new()).collect(),
+            queue: VecDeque::new(),
+            intervals: vec![ShedInterval::default(); INTERVALS],
+            interval_len: arrivals.div_ceil(INTERVALS).max(1),
+            arrived: 0,
+            max_queue_depth: 0,
+            batches: 0,
+            pending_cost_ns: 0.0,
         }
     }
-    merged.sort_by(|a, b| {
-        a.0.as_ns()
-            .partial_cmp(&b.0.as_ns())
-            .expect("arrival times are finite")
-            .then(a.1.cmp(&b.1))
-    });
 
-    let mut buckets: Vec<TokenBucket> = config
-        .tenants
-        .iter()
-        .map(|t| TokenBucket::new(t.quota_burst.max(1.0), base))
-        .collect();
-    let mut controller = AdmissionController::new(n, config.controller);
-    let mut runs: Vec<TenantRun> = (0..n)
-        .map(|_| TenantRun {
-            offered: 0,
-            served: 0,
-            over_quota: 0,
-            shed_quota: 0,
-            shed_queue: 0,
-            shed_deadline: 0,
-            latency: LatencyRecorder::new(),
-            hits: 0,
-            unique_keys: 0,
-            tighten_entries: 0,
-            tighten_exits: 0,
-        })
-        .collect();
-    let mut windows: Vec<LatencyRecorder> = (0..n).map(|_| LatencyRecorder::new()).collect();
-    let mut queue: VecDeque<Waiting> = VecDeque::new();
-    let mut intervals = vec![ShedInterval::default(); INTERVALS];
-    let interval_len = merged.len().div_ceil(INTERVALS).max(1);
-    let mut max_queue_depth = 0usize;
-    let mut batches = 0u64;
-    let mut next = 0usize;
-    // Simulated host nanoseconds of admission work accrued since the last
-    // batch, charged in one lump before the next engine invocation.
-    let mut pending_cost_ns = 0.0f64;
-
-    // Admits `merged[i]`, shedding over-quota work first under pressure.
-    let admit = |i: usize,
-                 queue: &mut VecDeque<Waiting>,
-                 buckets: &mut Vec<TokenBucket>,
-                 runs: &mut Vec<TenantRun>,
-                 controller: &AdmissionController,
-                 intervals: &mut Vec<ShedInterval>,
-                 max_queue_depth: &mut usize,
-                 pending_cost_ns: &mut f64| {
-        let (arrival, tenant) = merged[i];
-        let interval = (i / interval_len).min(INTERVALS - 1);
-        runs[tenant].offered += 1;
-        intervals[interval].offered += 1;
-        let rate = config.tenants[tenant].quota * controller.quota_factor(tenant);
-        buckets[tenant].refill(arrival, rate);
-        let over_quota = !buckets[tenant].try_consume();
-        *pending_cost_ns += config.costs.bucket_probe_ns;
-        if over_quota {
-            runs[tenant].over_quota += 1;
+    fn finish(mut self) -> MultiTenantRun {
+        for (t, run) in self.runs.iter_mut().enumerate() {
+            run.tighten_entries = self.controller.entries(t);
+            run.tighten_exits = self.controller.exits(t);
         }
-        if queue.len() >= config.queue_capacity {
-            *pending_cost_ns += config.costs.shed_ns;
+        // Replay the admission hand-offs: each tenant's admitted requests
+        // flow through a ring bounded by the queue capacity, publish edge
+        // from admit to dispatch and credit edge back — the same protocol
+        // shape the concurrent front-end's lanes replay.
+        let races = self.config.analyze.then(|| {
+            let depth = self.config.queue_capacity;
+            let ring = |(t, run): (usize, &TenantRun)| {
+                replay_ring(t, ADMISSION_SLOT_BASE, depth, run.served)
+            };
+            self.runs.iter().enumerate().map(ring).sum()
+        });
+        MultiTenantRun {
+            tenants: self.runs,
+            batches: self.batches,
+            max_queue_depth: self.max_queue_depth,
+            intervals: self.intervals,
+            races,
+        }
+    }
+}
+
+impl Admission for TenantQuota<'_> {
+    /// Admits an arrival, shedding over-quota work first under pressure.
+    fn admit(&mut self, a: Arrival) {
+        let Arrival { at, tenant } = a;
+        let interval = &mut self.intervals[(self.arrived / self.interval_len).min(INTERVALS - 1)];
+        self.arrived += 1;
+        self.runs[tenant].offered += 1;
+        interval.offered += 1;
+        let rate = self.config.tenants[tenant].quota * self.controller.quota_factor(tenant);
+        self.buckets[tenant].refill(at, rate);
+        let over_quota = !self.buckets[tenant].try_consume();
+        self.pending_cost_ns += self.config.costs.bucket_probe_ns;
+        if over_quota {
+            self.runs[tenant].over_quota += 1;
+        }
+        if self.queue.len() >= self.config.queue_capacity {
+            self.pending_cost_ns += self.config.costs.shed_ns;
+            interval.shed += 1;
             if over_quota {
                 // Over-quota arrival into a full queue: drop it.
-                runs[tenant].shed_quota += 1;
-                intervals[interval].shed += 1;
+                self.runs[tenant].shed_quota += 1;
                 return;
             }
             // In-quota arrival: evict the newest over-quota waiter in its
             // favor; only if every waiter is in quota does the arrival
             // itself shed.
-            if let Some(pos) = queue.iter().rposition(|w| w.over_quota) {
-                let victim = queue.remove(pos).expect("position just found");
-                runs[victim.tenant].shed_quota += 1;
-                intervals[interval].shed += 1;
-            } else {
-                runs[tenant].shed_queue += 1;
-                intervals[interval].shed += 1;
-                return;
+            let victim = self.queue.iter().rposition(|w| w.over_quota);
+            match victim.and_then(|pos| self.queue.remove(pos)) {
+                Some(victim) => self.runs[victim.tenant].shed_quota += 1,
+                None => {
+                    self.runs[tenant].shed_queue += 1;
+                    return;
+                }
             }
         }
-        queue.push_back(Waiting {
+        self.queue.push_back(Waiting {
             tenant,
-            arrival,
+            arrival: at,
             over_quota,
         });
-        *max_queue_depth = (*max_queue_depth).max(queue.len());
-    };
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+    }
 
-    loop {
-        if queue.is_empty() {
-            if next >= merged.len() {
-                break;
-            }
-            // Engine idle with nothing queued: skip to the next arrival.
-            let now = engine.gpu().now();
-            if merged[next].0 > now {
-                engine.gpu_mut().elapse_host("idle", merged[next].0 - now);
-            }
-            admit(
-                next,
-                &mut queue,
-                &mut buckets,
-                &mut runs,
-                &controller,
-                &mut intervals,
-                &mut max_queue_depth,
-                &mut pending_cost_ns,
-            );
-            next += 1;
-            continue;
-        }
-        let now = engine.gpu().now();
-        let ready_from = now.max(queue.front().expect("queue non-empty").arrival);
-        // Pull in everything that has arrived by the window anchor.
-        while next < merged.len() && merged[next].0 <= ready_from {
-            admit(
-                next,
-                &mut queue,
-                &mut buckets,
-                &mut runs,
-                &controller,
-                &mut intervals,
-                &mut max_queue_depth,
-                &mut pending_cost_ns,
-            );
-            next += 1;
-        }
+    fn oldest(&self) -> Option<Ns> {
+        self.queue.front().map(|w| w.arrival)
+    }
+
+    fn select(&mut self, ready_from: Ns, members: &mut Vec<Ns>) -> Option<usize> {
         // Deadline shedding at plan time: anything that has already
         // outwaited the budget is dead weight regardless of quota.
-        if let Some(dl) = config.deadline {
-            let before = queue.len();
-            queue.retain(|w| {
-                if misses_deadline(ready_from, w.arrival, dl) {
+        if let Some(dl) = self.config.deadline {
+            let before = self.queue.len();
+            let runs = &mut self.runs;
+            self.queue.retain(|w| {
+                let dead = misses_deadline(ready_from, w.arrival, dl);
+                if dead {
                     runs[w.tenant].shed_deadline += 1;
-                    false
-                } else {
-                    true
                 }
+                !dead
             });
-            pending_cost_ns += config.costs.shed_ns * (before - queue.len()) as f64;
-            if queue.is_empty() {
-                continue;
-            }
+            self.pending_cost_ns += self.config.costs.shed_ns * (before - self.queue.len()) as f64;
         }
         // Per-tenant batch: the tenant with the oldest waiter goes next;
         // its waiters inside the window ride along in arrival order.
-        let tenant = queue.front().expect("queue non-empty").tenant;
-        let mut members: Vec<Ns> = Vec::new();
-        let mut kept: VecDeque<Waiting> = VecDeque::with_capacity(queue.len());
-        for w in queue.drain(..) {
-            if w.tenant == tenant && w.arrival <= ready_from && members.len() < config.max_batch {
+        let tenant = self.queue.front()?.tenant;
+        let max_batch = self.config.max_batch;
+        self.queue.retain(|w| {
+            let rides = w.tenant == tenant && w.arrival <= ready_from && members.len() < max_batch;
+            if rides {
                 members.push(w.arrival);
-            } else {
-                kept.push_back(w);
             }
-        }
-        queue = kept;
-        let count = members.len();
-        debug_assert!(count > 0, "front waiter is always in window");
-        if members[0] > now {
-            engine.gpu_mut().elapse_host("idle", members[0] - now);
-        }
-        pending_cost_ns += config.costs.tenant_switch_ns;
-        if pending_cost_ns > 0.0 {
+            !rides
+        });
+        Some(tenant)
+    }
+
+    /// Charges the admission work accrued since the last batch, switches
+    /// the cache to `tenant`, runs the batch and attributes its hits and
+    /// latencies to the tenant; every `observe_every` batches the
+    /// controller reads each tenant's window.
+    fn execute<S: EmbeddingCacheSystem>(
+        &mut self,
+        engine: &mut InferenceEngine<S>,
+        tenant: usize,
+        members: &[Ns],
+        batch: &Batch,
+    ) -> InferenceTiming {
+        self.pending_cost_ns += self.config.costs.tenant_switch_ns;
+        if self.pending_cost_ns > 0.0 {
             engine
                 .gpu_mut()
-                .elapse_host("admission", Ns(pending_cost_ns));
-            pending_cost_ns = 0.0;
+                .elapse_host("admission", Ns(self.pending_cost_ns));
+            self.pending_cost_ns = 0.0;
         }
         engine.system_mut().set_active_tenant(tenant);
         let before = engine.system().lifetime_stats();
-        let batch = gens[tenant].next_batch(count);
-        engine.run_batch(&batch);
+        let timing = engine.run_batch(batch);
         let after = engine.system().lifetime_stats();
         let done = engine.gpu().now();
-        runs[tenant].hits += after.hits - before.hits;
-        runs[tenant].unique_keys += after.unique_keys - before.unique_keys;
-        runs[tenant].served += count as u64;
-        for &arr in &members {
-            runs[tenant].latency.record(done - arr);
-            windows[tenant].record(done - arr);
+        let run = &mut self.runs[tenant];
+        run.hits += after.hits - before.hits;
+        run.unique_keys += after.unique_keys - before.unique_keys;
+        run.served += members.len() as u64;
+        for &arrival in members {
+            run.latency.record(done - arrival);
+            self.windows[tenant].record(done - arrival);
         }
-        batches += 1;
-        if config.controller.enabled && batches % config.controller.observe_every.max(1) == 0 {
-            for (t, window) in windows.iter_mut().enumerate() {
-                if window.len() >= config.controller_min_samples {
-                    controller.observe(t, window.p99(), config.tenants[t].slo_p99);
+        self.batches += 1;
+        let controller = self.config.controller;
+        if controller.enabled && self.batches % controller.observe_every.max(1) == 0 {
+            for (t, window) in self.windows.iter_mut().enumerate() {
+                if window.len() >= self.config.controller_min_samples {
+                    self.controller
+                        .observe(t, window.p99(), self.config.tenants[t].slo_p99);
                     *window = LatencyRecorder::new();
-                    pending_cost_ns += config.costs.controller_update_ns;
+                    self.pending_cost_ns += self.config.costs.controller_update_ns;
                 }
             }
         }
+        timing
     }
 
-    for (t, run) in runs.iter_mut().enumerate() {
-        run.tighten_entries = controller.entries(t);
-        run.tighten_exits = controller.exits(t);
-    }
-
-    // Replay the admission hand-offs: each tenant's admitted requests
-    // flow through a ring bounded by the queue capacity, publish edge
-    // from admit to dispatch and credit edge back — the same protocol
-    // shape the concurrent front-end's lanes replay.
-    let races = config.analyze.then(|| {
-        let mut total = 0;
-        for (t, run) in runs.iter().enumerate() {
-            let mut c = RaceChecker::new();
-            declare_pipeline_handoffs(
-                &mut c,
-                t as u16,
-                ADMISSION_SLOT_BASE,
-                config.queue_capacity as u32,
-                run.served,
-                true,
-            );
-            total += c.race_count();
-        }
-        total
-    });
-
-    MultiTenantRun {
-        tenants: runs,
-        batches,
-        max_queue_depth,
-        intervals,
-        races,
+    fn shed(&self) -> (u64, u64) {
+        let queue = self.runs.iter().map(|r| r.shed_quota + r.shed_queue).sum();
+        (queue, self.runs.iter().map(|r| r.shed_deadline).sum())
     }
 }
 

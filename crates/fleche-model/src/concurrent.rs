@@ -12,9 +12,9 @@
 //! * N workers, each owning a full engine replica (built *inside* the
 //!   worker thread by a caller-supplied factory, so engines never cross
 //!   threads and need no `Send` bound);
-//! * a [`MicroBatcher`] — pure logical-time request coalescing under a
-//!   latency budget: a batch seals at `first_arrival + linger` or when
-//!   `max_batch` requests have arrived, whichever is earlier, and
+//! * a [`MicroBatcher`] — incremental logical-time request coalescing
+//!   under a latency budget: a batch seals at `first_arrival + linger` or
+//!   when `max_batch` requests have arrived, whichever is earlier, and
 //!   over-age requests are shed against the deadline at seal time;
 //! * a pipelined executor per worker — a prep stage (batch assembly +
 //!   dedup) runs one bounded channel ahead of the execute stage, so batch
@@ -36,19 +36,21 @@
 //!
 //! Each worker's simulation is self-contained (own engine, own clock, own
 //! trace stream) and its shard receives its requests in arrival order, so
-//! every simulated output is independent of thread scheduling. With one
-//! worker, no linger, and the streaming batcher, the drive below is an
-//! exact transcription of the serial server's window logic — the results
-//! are bit-identical to [`serve`](crate::serve) (asserted by tests and
-//! the `serve_scaling` drill).
+//! every simulated output is independent of thread scheduling. Without a
+//! linger a worker runs the serial server's own window loop
+//! ([`crate::server`]) over its lane, so with one worker the results are
+//! bit-identical to [`serve`](crate::serve) (asserted by tests and the
+//! `serve_scaling` drill).
 
 use crate::engine::InferenceEngine;
-use crate::latency::LatencyRecorder;
-use crate::server::{ServedRun, ARRIVAL_SEED};
+use crate::server::{
+    arrival_times, drive, misses_deadline, Arrival, BatchHook, Fifo, ServedRun, ServerConfig,
+    Tally, Warmup, ARRIVAL_SEED,
+};
 use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::Deduped;
-use fleche_workload::{ArrivalGen, BurstWindow, TraceGenerator};
+use fleche_workload::{BurstWindow, TraceGenerator};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Barrier, Condvar, Mutex};
@@ -166,7 +168,7 @@ impl<T> ShardedQueue<T> {
     }
 }
 
-/// Logical-time coalescing policy for [`MicroBatcher::plan`].
+/// Logical-time coalescing policy of a [`MicroBatcher`].
 #[derive(Clone, Copy, Debug)]
 pub struct MicroBatcherConfig {
     /// Seal a batch once this many requests have joined.
@@ -198,52 +200,79 @@ pub struct MicroBatchPlan {
     pub shed: Vec<(u64, Ns)>,
 }
 
-/// Pure logical-time micro-batcher. Planning is a function of arrival
-/// times only — no clocks, no threads — so its invariants (no request
-/// dropped or duplicated, batches within `max_batch`, linger budget
-/// respected) are property-testable in isolation, and a plan executes
-/// identically at any pipeline depth.
-pub struct MicroBatcher;
+/// Incremental logical-time micro-batcher. Sealing is a function of
+/// arrival times only — no clocks, no threads — so its invariants (no
+/// request dropped or duplicated, batches within `max_batch`, linger
+/// budget respected) are property-testable in isolation through
+/// [`MicroBatcher::plan`], and the pipelined prep stage seals its stream
+/// with the very same [`MicroBatcher::step`].
+#[derive(Clone, Debug)]
+pub struct MicroBatcher {
+    cfg: MicroBatcherConfig,
+    open: Vec<(u64, Ns)>,
+}
 
 impl MicroBatcher {
-    /// Partitions `arrivals` (sorted ascending by arrival) into batches.
-    pub fn plan(arrivals: &[(u64, Ns)], cfg: &MicroBatcherConfig) -> MicroBatchPlan {
+    /// A batcher with no open batch.
+    pub fn new(cfg: MicroBatcherConfig) -> MicroBatcher {
         assert!(cfg.max_batch > 0, "max batch must be positive");
         assert!(cfg.linger.as_ns() >= 0.0, "linger must be non-negative");
+        MicroBatcher {
+            cfg,
+            open: Vec::with_capacity(cfg.max_batch),
+        }
+    }
+
+    /// The seal step. `next` is the next arrival in arrival order, or
+    /// `None` once the stream has ended. An arrival past the open batch's
+    /// linger seals that batch and opens the next; a batch seals as soon
+    /// as its `max_batch`-th rider joins; the end of the stream seals what
+    /// is open. Riders that would miss the deadline at the seal go to
+    /// `shed`; the sealed batch is returned unless all of them did.
+    pub fn step(
+        &mut self,
+        next: Option<(u64, Ns)>,
+        shed: &mut Vec<(u64, Ns)>,
+    ) -> Option<BatchPlan> {
+        let seal_by_linger = self.open.first().map(|&(_, first)| first + self.cfg.linger);
+        let Some((seq, arrival)) = next else {
+            // Short batches wait out the full linger.
+            return seal_by_linger.and_then(|seal| self.seal(seal, shed));
+        };
+        let mut sealed = None;
+        if let Some(seal) = seal_by_linger.filter(|&seal| arrival > seal) {
+            sealed = self.seal(seal, shed);
+        }
+        self.open.push((seq, arrival));
+        if self.open.len() == self.cfg.max_batch {
+            // Full batches seal when their last rider arrives. Never in
+            // the same step as a linger seal: that needs an open batch.
+            sealed = self.seal(arrival, shed);
+        }
+        sealed
+    }
+
+    fn seal(&mut self, seal: Ns, shed: &mut Vec<(u64, Ns)>) -> Option<BatchPlan> {
+        let mut members = Vec::with_capacity(self.open.len());
+        for (seq, arrival) in self.open.drain(..) {
+            match self.cfg.deadline {
+                Some(dl) if misses_deadline(seal, arrival, dl) => shed.push((seq, arrival)),
+                _ => members.push((seq, arrival)),
+            }
+        }
+        (!members.is_empty()).then_some(BatchPlan { seal, members })
+    }
+
+    /// Partitions `arrivals` (sorted ascending by arrival) into batches.
+    pub fn plan(arrivals: &[(u64, Ns)], cfg: &MicroBatcherConfig) -> MicroBatchPlan {
         debug_assert!(
             arrivals.windows(2).all(|w| w[0].1 <= w[1].1),
             "arrivals must be sorted"
         );
+        let mut batcher = MicroBatcher::new(*cfg);
         let mut plan = MicroBatchPlan::default();
-        let mut i = 0;
-        while i < arrivals.len() {
-            let first = arrivals[i].1;
-            let seal_by_linger = first + cfg.linger;
-            let cap = (i + cfg.max_batch).min(arrivals.len());
-            let mut end = i + 1;
-            while end < cap && arrivals[end].1 <= seal_by_linger {
-                end += 1;
-            }
-            // Full batches seal when their last rider arrives; short ones
-            // wait out the full linger.
-            let seal = if end - i == cfg.max_batch {
-                arrivals[end - 1].1
-            } else {
-                seal_by_linger
-            };
-            let mut members = Vec::with_capacity(end - i);
-            for &(seq, arr) in &arrivals[i..end] {
-                match cfg.deadline {
-                    Some(dl) if crate::server::misses_deadline(seal, arr, dl) => {
-                        plan.shed.push((seq, arr))
-                    }
-                    _ => members.push((seq, arr)),
-                }
-            }
-            if !members.is_empty() {
-                plan.batches.push(BatchPlan { seal, members });
-            }
-            i = end;
+        for next in arrivals.iter().copied().map(Some).chain([None]) {
+            plan.batches.extend(batcher.step(next, &mut plan.shed));
         }
         plan
     }
@@ -252,21 +281,13 @@ impl MicroBatcher {
 /// Configuration of [`serve_concurrent`].
 #[derive(Clone, Debug)]
 pub struct ConcurrentConfig {
+    /// The serving parameters: offered load and requests across all
+    /// workers; batch cap, warm-up, queue bound and deadline per worker.
+    /// The queue bound applies to the streaming batcher only and must be
+    /// `None` under a linger.
+    pub server: ServerConfig,
     /// Worker (engine replica) count.
     pub workers: usize,
-    /// Offered load in requests per second, across all workers.
-    pub offered_load: f64,
-    /// Maximum samples per engine invocation.
-    pub max_batch: usize,
-    /// Requests to simulate (after warm-up), across all workers.
-    pub requests: usize,
-    /// Requests each worker uses to warm its cache (not measured).
-    pub warmup_requests: usize,
-    /// Streaming-batcher admission bound (see
-    /// [`ServerConfig`](crate::ServerConfig)); ignored under a linger.
-    pub queue_capacity: Option<usize>,
-    /// Shed requests waiting longer than this.
-    pub deadline: Option<Ns>,
     /// `None`: engine-feedback streaming batching, bit-identical to the
     /// serial server per worker. `Some(l)`: micro-batch with linger `l`
     /// and pipeline prep against execution.
@@ -283,30 +304,6 @@ pub struct ConcurrentConfig {
     pub analyze: bool,
     /// Per-lane bound of the arrival queue.
     pub shard_capacity: usize,
-}
-
-impl ConcurrentConfig {
-    /// A front-end mirroring a serial [`ServerConfig`](crate::ServerConfig)
-    /// with `workers` replicas: streaming batcher, no pacing — the
-    /// configuration whose one-worker run is bit-identical to
-    /// [`serve`](crate::serve).
-    pub fn mirror_serial(config: &crate::ServerConfig, workers: usize) -> ConcurrentConfig {
-        ConcurrentConfig {
-            workers,
-            offered_load: config.offered_load,
-            max_batch: config.max_batch,
-            requests: config.requests,
-            warmup_requests: config.warmup_requests,
-            queue_capacity: config.queue_capacity,
-            deadline: config.deadline,
-            linger: None,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            pace: 0.0,
-            bursts: Vec::new(),
-            analyze: false,
-            shard_capacity: DEFAULT_SHARD_CAPACITY,
-        }
-    }
 }
 
 /// Real (wall-clock) seconds each pipeline stage of one worker spent
@@ -407,9 +404,14 @@ where
     S: EmbeddingCacheSystem,
     F: Fn(usize) -> (InferenceEngine<S>, TraceGenerator) + Sync,
 {
+    let server = &config.server;
     assert!(config.workers >= 1, "need at least one worker");
-    assert!(config.offered_load > 0.0, "offered load must be positive");
-    assert!(config.max_batch > 0, "max batch must be positive");
+    assert!(server.offered_load > 0.0, "offered load must be positive");
+    assert!(server.max_batch > 0, "max batch must be positive");
+    assert!(
+        config.linger.is_none() || server.queue_capacity.is_none(),
+        "queue_capacity bounds the streaming batcher only; unset it under a linger"
+    );
     let w = config.workers;
     let queue: ShardedQueue<QueuedRequest> = ShardedQueue::new(w, config.shard_capacity.max(1));
     let base_now: Mutex<Vec<Option<f64>>> = Mutex::new(vec![None; w]);
@@ -436,17 +438,10 @@ where
                 }
                 first
             };
-            let mut agen = ArrivalGen::new(
-                ARRIVAL_SEED,
-                Ns::from_secs(1.0 / config.offered_load).as_ns(),
-            )
-            .with_bursts(config.bursts.clone());
-            // Accumulate exactly like the serial server (t += gap from
-            // the post-warmup clock) so arrivals are bit-identical.
-            let mut t = Ns(base);
-            for seq in 0..config.requests as u64 {
-                t += Ns(agen.next_gap_ns());
-                queue.push(seq as usize % w, QueuedRequest { seq, arrival: t });
+            let arrivals =
+                arrival_times(ARRIVAL_SEED, server.offered_load, &config.bursts, Ns(base));
+            for (seq, arrival) in (0..server.requests as u64).zip(arrivals) {
+                queue.push(seq as usize % w, QueuedRequest { seq, arrival });
             }
             queue.close();
         });
@@ -459,18 +454,42 @@ where
             let results = &results;
             scope.spawn(move || {
                 let (mut engine, mut gen) = factory(wid);
-                // Same warmup as the serial server.
-                for _ in 0..config.warmup_requests.div_ceil(config.max_batch) {
-                    let b = gen.next_batch(config.max_batch.min(256));
-                    engine.run_batch(&b);
-                }
-                engine.system_mut().reset_stats();
+                Warmup::new(server.warmup_requests, server.max_batch)
+                    .run(&mut engine, std::slice::from_mut(&mut gen));
                 base_now.lock().expect("base-now lock poisoned")[wid] =
                     Some(engine.gpu().now().as_ns());
                 start_barrier.wait();
-                let run = match config.linger {
-                    None => streaming_drive(&mut engine, &mut gen, queue, wid, config),
-                    Some(linger) => pipelined_drive(&mut engine, gen, queue, wid, config, linger),
+                let mut pacer = Pacer {
+                    pace: config.pace,
+                    stage: StageWall::default(),
+                    batches: 0,
+                    started: Instant::now(),
+                };
+                let (run, pipeline_handoffs, shed_at_dequeue) = match config.linger {
+                    // The serial server's own loop and rule, fed from
+                    // this worker's lane.
+                    None => {
+                        let lane = std::iter::from_fn(|| queue.pop(wid));
+                        let arrivals = lane.map(|r| Arrival {
+                            at: r.arrival,
+                            tenant: 0,
+                        });
+                        let gens = std::slice::from_mut(&mut gen);
+                        let fifo = &mut Fifo::new(server);
+                        (drive(&mut engine, gens, arrivals, fifo, &mut pacer), 0, 0)
+                    }
+                    Some(linger) => {
+                        pipelined_drive(&mut engine, gen, queue, wid, config, linger, &mut pacer)
+                    }
+                };
+                let run = WorkerRun {
+                    worker: wid,
+                    batches: pacer.batches,
+                    stage: pacer.stage,
+                    queue_handoffs: run.offered,
+                    pipeline_handoffs,
+                    shed_at_dequeue,
+                    run,
                 };
                 results.lock().expect("results lock poisoned")[wid] = Some(run);
             });
@@ -491,34 +510,19 @@ where
         .map(|r| r.expect("worker finished"))
         .collect();
 
+    // Feeder→worker lane of the sharded queue, then the worker's
+    // prep→execute pipeline ring.
     let races = config.analyze.then(|| {
-        let mut total = 0;
-        for wr in &workers {
-            // Feeder→worker lane of the sharded queue, then the worker's
-            // prep→execute pipeline ring. Fresh checker per ring (event
-            // history grows per hand-off).
-            let mut c = RaceChecker::new();
-            declare_pipeline_handoffs(
-                &mut c,
-                wr.worker as u16,
-                0,
-                config.shard_capacity.max(1) as u32,
-                wr.queue_handoffs,
-                true,
-            );
-            total += c.race_count();
-            let mut c = RaceChecker::new();
-            declare_pipeline_handoffs(
-                &mut c,
-                wr.worker as u16,
-                1 << 16,
-                config.pipeline_depth.max(1) as u32,
-                wr.pipeline_handoffs,
-                true,
-            );
-            total += c.race_count();
-        }
-        total
+        let ring = |w: &WorkerRun| {
+            replay_ring(w.worker, 0, config.shard_capacity, w.queue_handoffs)
+                + replay_ring(
+                    w.worker,
+                    1 << 16,
+                    config.pipeline_depth,
+                    w.pipeline_handoffs,
+                )
+        };
+        workers.iter().map(ring).sum()
     });
 
     ConcurrentRun {
@@ -528,330 +532,144 @@ where
     }
 }
 
-/// An in-flight request in a worker's streaming window. `done` mirrors
-/// the serial server's `done_flag`: shed-by-admission requests stay in
-/// place (their arrival still anchors the window) until the front pointer
-/// passes them.
-struct Pending {
-    arrival: Ns,
-    done: bool,
+/// Replays `handoffs` hand-offs through one ring of `depth` slots (min 1)
+/// on a fresh race checker — publish edge from producer to consumer,
+/// credit edge back — and returns the races found. The ring of `stream`
+/// lives at `slot_base`.
+pub(crate) fn replay_ring(stream: usize, slot_base: u32, depth: usize, handoffs: u64) -> usize {
+    let mut c = RaceChecker::new();
+    declare_pipeline_handoffs(
+        &mut c,
+        stream as u16,
+        slot_base,
+        depth.max(1) as u32,
+        handoffs,
+        true,
+    );
+    c.race_count()
 }
 
-/// The engine-feedback streaming drive: an exact transcription of the
-/// serial [`serve`](crate::serve) loop onto a queue-fed pending buffer.
-/// With one worker the simulated results are bit-identical to it.
-fn streaming_drive<S: EmbeddingCacheSystem>(
-    engine: &mut InferenceEngine<S>,
-    gen: &mut TraceGenerator,
-    queue: &ShardedQueue<QueuedRequest>,
-    wid: usize,
-    config: &ConcurrentConfig,
-) -> WorkerRun {
-    let mut pending: VecDeque<Pending> = VecDeque::new();
-    let mut latency = LatencyRecorder::new();
-    let mut offered = 0u64;
-    let mut batches = 0u64;
-    let mut batched = 0u64;
-    let mut shed_queue = 0u64;
-    let mut shed_deadline = 0u64;
-    let mut busy = Ns::ZERO;
-    let mut stage = StageWall::default();
-    let t_start = engine.gpu().now();
-    let take = |pending: &mut VecDeque<Pending>, offered: &mut u64| match queue.pop(wid) {
-        Some(r) => {
-            *offered += 1;
-            pending.push_back(Pending {
-                arrival: r.arrival,
-                done: false,
-            });
-            true
-        }
-        None => false,
-    };
-    loop {
-        if pending.is_empty() && !take(&mut pending, &mut offered) {
-            break;
-        }
-        if pending.front().expect("pending non-empty").done {
-            pending.pop_front();
-            continue;
-        }
-        // The engine is idle at `now`; the window is everything arrived
-        // by the time the first waiter can start.
-        let now = engine.gpu().now();
-        let ready_from = now.max(pending.front().expect("pending non-empty").arrival);
-        // Pull until we have buffered one arrival beyond the window (or
-        // the stream ended) — the streaming equivalent of scanning the
-        // serial server's pre-drawn arrival array.
-        while pending.back().expect("pending non-empty").arrival <= ready_from
-            && take(&mut pending, &mut offered)
-        {}
-        let mut end = 0;
-        while end < pending.len() && pending[end].arrival <= ready_from {
-            end += 1;
-        }
-        // Deadline shedding, oldest first (mirrors the serial loop).
-        let mut idx = 0;
-        if let Some(dl) = config.deadline {
-            while idx < end && crate::server::misses_deadline(ready_from, pending[idx].arrival, dl)
-            {
-                if !pending[idx].done {
-                    shed_deadline += 1;
-                }
-                idx += 1;
-            }
-            if idx >= end {
-                pending.drain(..idx);
-                continue;
-            }
-        }
-        let mut live: Vec<usize> = (idx..end).filter(|&i| !pending[i].done).collect();
-        if let Some(cap) = config.queue_capacity {
-            let cap = cap.max(1);
-            if live.len() > cap {
-                for &i in &live[cap..] {
-                    pending[i].done = true;
-                }
-                shed_queue += (live.len() - cap) as u64;
-                live.truncate(cap);
-            }
-        }
-        live.truncate(config.max_batch);
-        let count = live.len();
-        let e0 = Instant::now();
-        let batch = gen.next_batch(count);
-        if pending[idx].arrival > now {
-            let gap = pending[idx].arrival - now;
-            engine.gpu_mut().elapse_host("idle", gap);
-        }
-        let t0 = engine.gpu().now();
-        let timing = engine.run_batch(&batch);
-        stage.exec_secs += e0.elapsed().as_secs_f64();
-        let done = engine.gpu().now();
-        busy += done - t0;
-        for &i in &live {
-            latency.record(done - pending[i].arrival);
-            pending[i].done = true;
-        }
-        batches += 1;
-        batched += count as u64;
-        pending.drain(..idx);
-        dwell(config.pace, timing.total, &mut stage);
+/// The executor stage's wall-clock accounting around each batch: time
+/// spent executing, then the paced device dwell.
+struct Pacer {
+    pace: f64,
+    stage: StageWall,
+    batches: u64,
+    started: Instant,
+}
+
+impl BatchHook for Pacer {
+    fn begin(&mut self) {
+        self.started = Instant::now();
     }
-    let elapsed = engine.gpu().now() - t_start;
-    WorkerRun {
-        worker: wid,
-        run: ServedRun {
-            achieved: batched as f64 / elapsed.as_secs().max(1e-12),
-            mean_batch: batched as f64 / batches.max(1) as f64,
-            utilization: (busy / elapsed).min(1.0),
-            offered,
-            served: batched,
-            shed_queue,
-            shed_deadline,
-            lifetime: engine.system().lifetime_stats(),
-            latency,
-        },
-        batches,
-        stage,
-        queue_handoffs: offered,
-        pipeline_handoffs: 0,
-        shed_at_dequeue: 0,
+
+    /// Sleeps `pace ×` the batch's simulated time: the host-side duty
+    /// cycle of waiting on the device. Overlaps across worker threads,
+    /// which is exactly where the wall-clock scaling of multiple workers
+    /// comes from.
+    fn end(&mut self, sim_time: Ns) {
+        self.stage.exec_secs += self.started.elapsed().as_secs_f64();
+        self.batches += 1;
+        if self.pace > 0.0 {
+            let d0 = Instant::now();
+            std::thread::sleep(Duration::from_secs_f64(sim_time.as_secs() * self.pace));
+            self.stage.dwell_secs += d0.elapsed().as_secs_f64();
+        }
     }
 }
 
 /// One prepared batch crossing the prep→execute channel.
 struct PreparedBatch {
-    seal: Ns,
-    members: Vec<(u64, Ns)>,
+    plan: BatchPlan,
     batch: fleche_workload::Batch,
     dedup: Deduped,
 }
 
-/// The pipelined drive: plan micro-batches in logical time, then run a
-/// prep stage one bounded channel ahead of the executor. Simulated
-/// results are independent of pipeline depth — the prepared path charges
-/// the identical dedup cost — so only wall time changes.
-///
-/// The prep stage pops its lane *incrementally*, sealing each micro-batch
-/// as soon as the seal rule decides it, instead of draining the whole
-/// stream into memory up front. Nothing in the path grows with offered
-/// load: the lane is bounded (`shard_capacity`), the planner buffers at
-/// most one batch's worth of arrivals, and the prep→execute channel is
-/// bounded by the pipeline depth — so a slow executor backpressures all
-/// the way to the feeder rather than ballooning a queue.
+/// The pipelined drive: a prep stage pops the lane incrementally, seals
+/// micro-batches with [`MicroBatcher::step`] and prepares each one a
+/// bounded channel ahead of the executor. Simulated results are
+/// independent of pipeline depth — the prepared path charges the
+/// identical dedup cost — so only wall time changes. Nothing in the path
+/// grows with offered load: the lane, the batcher's one open batch and
+/// the channel are all bounded, so a slow executor backpressures all the
+/// way to the feeder.
 ///
 /// Deadlines are enforced twice: at plan time against the seal (the
 /// micro-batcher's rule) and again at dequeue against the executor's
 /// clock, so requests that aged out while queued behind earlier batches
-/// do not burn a pipeline slot pretending to be servable.
+/// do not burn a pipeline slot pretending to be servable. Returns the run,
+/// the batches received and the requests shed at dequeue.
 fn pipelined_drive<S: EmbeddingCacheSystem>(
     engine: &mut InferenceEngine<S>,
-    gen: TraceGenerator,
+    mut gen: TraceGenerator,
     queue: &ShardedQueue<QueuedRequest>,
     wid: usize,
     config: &ConcurrentConfig,
     linger: Ns,
-) -> WorkerRun {
-    let max_batch = config.max_batch;
-    let depth = config.pipeline_depth.max(1);
-    let (tx, rx) = mpsc::sync_channel::<PreparedBatch>(depth);
-    let prep_secs = Mutex::new(0.0f64);
-    let mut latency = LatencyRecorder::new();
-    let mut batches = 0u64;
+    pacer: &mut Pacer,
+) -> (ServedRun, u64, u64) {
+    let deadline = config.server.deadline;
+    let mut batcher = MicroBatcher::new(MicroBatcherConfig {
+        max_batch: config.server.max_batch,
+        linger,
+        deadline,
+    });
+    let (tx, rx) = mpsc::sync_channel::<PreparedBatch>(config.pipeline_depth.max(1));
+    let mut tally = Tally::new(engine.gpu().now());
     let mut recvs = 0u64;
-    let mut batched = 0u64;
     let mut shed_at_dequeue = 0u64;
-    let mut busy = Ns::ZERO;
-    let mut stage = StageWall::default();
-    let t_start = engine.gpu().now();
-    let (offered, shed_plan) = std::thread::scope(|scope| {
-        let prep_secs = &prep_secs;
-        let mut gen = gen;
+    let (offered, shed_plan, prep_secs) = std::thread::scope(|scope| {
         let prep = scope.spawn(move || {
-            // Rolling transcription of [`MicroBatcher::plan`]: the buffer
-            // holds the current batch's candidates plus at most one
-            // arrival beyond its window, popped from the bounded lane on
-            // demand. Seal rules are identical to the batch-mode planner
-            // (whose property tests pin them).
-            let mut buffer: VecDeque<(u64, Ns)> = VecDeque::new();
-            let mut offered = 0u64;
-            let mut shed = 0u64;
-            let mut open = true;
-            let pull = |buffer: &mut VecDeque<(u64, Ns)>, offered: &mut u64| match queue.pop(wid) {
-                Some(r) => {
-                    *offered += 1;
-                    buffer.push_back((r.seq, r.arrival));
-                    true
-                }
-                None => false,
-            };
+            let (mut offered, mut shed_plan, mut prep_secs) = (0u64, 0u64, 0.0f64);
+            let mut shed = Vec::new();
             loop {
-                if buffer.is_empty() && (!open || !pull(&mut buffer, &mut offered)) {
-                    break;
-                }
-                let first = buffer.front().expect("buffer non-empty").1;
-                let seal_by_linger = first + linger;
-                while open
-                    && buffer.len() < max_batch
-                    && buffer.back().expect("buffer non-empty").1 <= seal_by_linger
-                {
-                    open = pull(&mut buffer, &mut offered);
-                }
-                let mut end = 1;
-                while end < buffer.len().min(max_batch) && buffer[end].1 <= seal_by_linger {
-                    end += 1;
-                }
-                // Full batches seal when their last rider arrives; short
-                // ones wait out the full linger.
-                let seal = if end == max_batch {
-                    buffer[end - 1].1
-                } else {
-                    seal_by_linger
-                };
+                let next = queue.pop(wid).map(|r| (r.seq, r.arrival));
+                offered += u64::from(next.is_some());
                 let p0 = Instant::now();
-                let mut members = Vec::with_capacity(end);
-                for &(seq, arr) in buffer.iter().take(end) {
-                    match config.deadline {
-                        Some(dl) if crate::server::misses_deadline(seal, arr, dl) => shed += 1,
-                        _ => members.push((seq, arr)),
+                let sealed = batcher.step(next, &mut shed);
+                shed_plan += shed.len() as u64;
+                shed.clear();
+                if let Some(plan) = sealed {
+                    let batch = gen.next_batch(plan.members.len());
+                    let dedup = Deduped::from_batch(&batch);
+                    prep_secs += p0.elapsed().as_secs_f64();
+                    if tx.send(PreparedBatch { plan, batch, dedup }).is_err() {
+                        break;
                     }
                 }
-                buffer.drain(..end);
-                if members.is_empty() {
-                    continue;
-                }
-                let batch = gen.next_batch(members.len());
-                let dedup = Deduped::from_batch(&batch);
-                *prep_secs.lock().expect("prep lock poisoned") += p0.elapsed().as_secs_f64();
-                let msg = PreparedBatch {
-                    seal,
-                    members,
-                    batch,
-                    dedup,
-                };
-                if tx.send(msg).is_err() {
+                if next.is_none() {
                     break;
                 }
             }
-            (offered, shed)
+            (offered, shed_plan, prep_secs)
         });
         while let Ok(p) = rx.recv() {
             recvs += 1;
-            let now = engine.gpu().now();
             // Dequeue-time deadline re-check: the plan judged waits
             // against the seal, but by now the executor may be far past
             // it. Requests already over budget are shed here.
-            let start = now.max(p.seal);
-            let mut live: Vec<Ns> = Vec::with_capacity(p.members.len());
-            match config.deadline {
-                Some(dl) => {
-                    for &(_, arr) in &p.members {
-                        if crate::server::misses_deadline(start, arr, dl) {
-                            shed_at_dequeue += 1;
-                        } else {
-                            live.push(arr);
-                        }
-                    }
-                }
-                None => live.extend(p.members.iter().map(|&(_, arr)| arr)),
-            }
+            let start = engine.gpu().now().max(p.plan.seal);
+            let aged = |&a: &Ns| deadline.is_some_and(|dl| misses_deadline(start, a, dl));
+            let members = p.plan.members.iter().map(|&(_, arrival)| arrival);
+            let live: Vec<Ns> = members.filter(|a| !aged(a)).collect();
+            shed_at_dequeue += (p.plan.members.len() - live.len()) as u64;
             if live.is_empty() {
                 // Every rider aged out while queued: skip the device
                 // instead of burning the slot on dead work.
                 continue;
             }
-            if p.seal > now {
-                engine.gpu_mut().elapse_host("idle", p.seal - now);
-            }
-            let t0 = engine.gpu().now();
-            let e0 = Instant::now();
-            let timing = engine.run_batch_prepared(&p.batch, p.dedup);
-            stage.exec_secs += e0.elapsed().as_secs_f64();
-            let done = engine.gpu().now();
-            busy += done - t0;
-            for &arr in &live {
-                latency.record(done - arr);
-            }
-            batches += 1;
-            batched += live.len() as u64;
-            dwell(config.pace, timing.total, &mut stage);
+            pacer.begin();
+            let timing = tally.execute(engine, p.plan.seal, &live, |engine| {
+                engine.run_batch_prepared(&p.batch, p.dedup)
+            });
+            pacer.end(timing.total);
         }
-        prep.join().expect("prep thread panicked")
+        prep.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     });
-    stage.prep_secs = *prep_secs.lock().expect("prep lock poisoned");
-    let elapsed = engine.gpu().now() - t_start;
-    WorkerRun {
-        worker: wid,
-        run: ServedRun {
-            achieved: batched as f64 / elapsed.as_secs().max(1e-12),
-            mean_batch: batched as f64 / batches.max(1) as f64,
-            utilization: (busy / elapsed).min(1.0),
-            offered,
-            served: batched,
-            shed_queue: 0,
-            shed_deadline: shed_plan + shed_at_dequeue,
-            lifetime: engine.system().lifetime_stats(),
-            latency,
-        },
-        batches,
-        stage,
-        queue_handoffs: offered,
-        pipeline_handoffs: recvs,
-        shed_at_dequeue,
-    }
-}
-
-/// Sleeps `pace ×` the batch's simulated time: the host-side duty cycle
-/// of waiting on the device. Overlaps across worker threads, which is
-/// exactly where the wall-clock scaling of multiple workers comes from.
-fn dwell(pace: f64, sim_total: Ns, stage: &mut StageWall) {
-    if pace <= 0.0 {
-        return;
-    }
-    let d0 = Instant::now();
-    std::thread::sleep(Duration::from_secs_f64(sim_total.as_secs() * pace));
-    stage.dwell_secs += d0.elapsed().as_secs_f64();
+    pacer.stage.prep_secs = prep_secs;
+    let run = tally.finish(engine, offered, (0, shed_plan + shed_at_dequeue));
+    (run, recvs, shed_at_dequeue)
 }
 
 #[cfg(test)]
@@ -859,7 +677,7 @@ mod tests {
     use super::*;
     use crate::dense::DenseModel;
     use crate::engine::ModelMode;
-    use crate::server::{serve, ServerConfig};
+    use crate::server::serve;
     use fleche_core::{FlecheConfig, FlecheSystem};
     use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
     use fleche_store::CpuStore;
@@ -898,6 +716,20 @@ mod tests {
         }
     }
 
+    /// The streaming, unpaced front-end over `cfg` with `workers` replicas.
+    fn mirror(cfg: &ServerConfig, workers: usize) -> ConcurrentConfig {
+        ConcurrentConfig {
+            server: cfg.clone(),
+            workers,
+            linger: None,
+            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
+            pace: 0.0,
+            bursts: Vec::new(),
+            analyze: false,
+            shard_capacity: DEFAULT_SHARD_CAPACITY,
+        }
+    }
+
     fn assert_bit_identical(serial: &ServedRun, conc: &ServedRun) {
         assert_eq!(serial.offered, conc.offered);
         assert_eq!(serial.served, conc.served);
@@ -925,7 +757,7 @@ mod tests {
         let cfg = serial_config(200_000.0);
         let (mut eng, mut gen) = build(0);
         let serial = serve(&mut eng, &mut gen, &cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(&cfg, 1));
+        let conc = serve_concurrent(build, &mirror(&cfg, 1));
         assert_eq!(conc.workers.len(), 1);
         assert_bit_identical(&serial, &conc.workers[0].run);
     }
@@ -939,14 +771,14 @@ mod tests {
         };
         let (mut eng, mut gen) = build(0);
         let serial = serve(&mut eng, &mut gen, &cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(&cfg, 1));
+        let conc = serve_concurrent(build, &mirror(&cfg, 1));
         assert!(serial.shed_queue + serial.shed_deadline > 0);
         assert_bit_identical(&serial, &conc.workers[0].run);
     }
 
     #[test]
     fn multi_worker_run_is_deterministic_and_complete() {
-        let cfg = ConcurrentConfig::mirror_serial(&serial_config(400_000.0), 3);
+        let cfg = mirror(&serial_config(400_000.0), 3);
         let a = serve_concurrent(build, &cfg);
         let b = serve_concurrent(build, &cfg);
         assert_eq!(a.offered(), 2_000);
@@ -958,7 +790,7 @@ mod tests {
 
     #[test]
     fn pipelined_results_are_depth_invariant() {
-        let mut cfg = ConcurrentConfig::mirror_serial(&serial_config(400_000.0), 2);
+        let mut cfg = mirror(&serial_config(400_000.0), 2);
         cfg.linger = Some(Ns::from_us(200.0));
         let a = serve_concurrent(build, &cfg);
         cfg.pipeline_depth = 8;
@@ -976,9 +808,9 @@ mod tests {
         // (linger < deadline bounds every wait at seal): all shedding
         // must come from the dequeue-time re-check as the executor falls
         // behind, and fully-aged batches must not burn a pipeline slot.
-        let mut cfg = ConcurrentConfig::mirror_serial(&serial_config(50_000_000.0), 1);
+        let mut cfg = mirror(&serial_config(50_000_000.0), 1);
         cfg.linger = Some(Ns::from_us(200.0));
-        cfg.deadline = Some(Ns::from_us(300.0));
+        cfg.server.deadline = Some(Ns::from_us(300.0));
         let a = serve_concurrent(build, &cfg);
         let w = &a.workers[0];
         assert!(w.shed_at_dequeue > 0, "executor backlog must age requests");
@@ -1005,7 +837,7 @@ mod tests {
         // blocks on the executor — the run only completes if the bounded
         // chain drains end to end, and the bound must not change any
         // simulated result.
-        let mut cfg = ConcurrentConfig::mirror_serial(&serial_config(400_000.0), 2);
+        let mut cfg = mirror(&serial_config(400_000.0), 2);
         cfg.linger = Some(Ns::from_us(200.0));
         let a = serve_concurrent(build, &cfg);
         cfg.shard_capacity = 4;
@@ -1019,10 +851,10 @@ mod tests {
 
     #[test]
     fn pacing_never_touches_simulated_results() {
-        let mut cfg = ConcurrentConfig::mirror_serial(&serial_config(400_000.0), 2);
+        let mut cfg = mirror(&serial_config(400_000.0), 2);
         cfg.linger = Some(Ns::from_us(200.0));
-        cfg.requests = 400;
-        cfg.warmup_requests = 400;
+        cfg.server.requests = 400;
+        cfg.server.warmup_requests = 400;
         let a = serve_concurrent(build, &cfg);
         cfg.pace = 0.5;
         let b = serve_concurrent(build, &cfg);
@@ -1034,13 +866,45 @@ mod tests {
 
     #[test]
     fn analyze_mode_finds_no_races_in_the_protocol() {
-        let mut cfg = ConcurrentConfig::mirror_serial(&serial_config(400_000.0), 2);
+        let mut cfg = mirror(&serial_config(400_000.0), 2);
         cfg.linger = Some(Ns::from_us(200.0));
-        cfg.requests = 500;
-        cfg.warmup_requests = 400;
+        cfg.server.requests = 500;
+        cfg.server.warmup_requests = 400;
         cfg.analyze = true;
         let run = serve_concurrent(build, &cfg);
         assert_eq!(run.races, Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue_capacity")]
+    fn linger_rejects_a_queue_bound() {
+        let mut cfg = mirror(&serial_config(400_000.0), 1);
+        cfg.linger = Some(Ns::from_us(200.0));
+        cfg.server.queue_capacity = Some(64);
+        serve_concurrent(build, &cfg);
+    }
+
+    #[test]
+    fn micro_batcher_steps_seal_as_arrivals_come() {
+        let mut batcher = MicroBatcher::new(MicroBatcherConfig {
+            max_batch: 2,
+            linger: Ns(100.0),
+            deadline: Some(Ns(50.0)),
+        });
+        let mut shed = Vec::new();
+        // Fills at the second arrival: seals at once.
+        assert!(batcher.step(Some((0, Ns(0.0))), &mut shed).is_none());
+        let full = batcher.step(Some((1, Ns(10.0))), &mut shed).unwrap();
+        assert_eq!((full.seal, full.members.len()), (Ns(10.0), 2));
+        // A lone rider seals at its linger once a later arrival lands
+        // past it; having waited the whole linger it misses the deadline
+        // and sheds, as does the last rider when the stream ends.
+        assert!(batcher.step(Some((2, Ns(20.0))), &mut shed).is_none());
+        let short = batcher.step(Some((3, Ns(500.0))), &mut shed);
+        assert!(short.is_none(), "its wait to the seal exceeds the deadline");
+        assert_eq!(shed, vec![(2, Ns(20.0))]);
+        assert!(batcher.step(None, &mut shed).is_none());
+        assert_eq!(shed, vec![(2, Ns(20.0)), (3, Ns(500.0))]);
     }
 
     #[test]

@@ -14,13 +14,17 @@
 //! * [`LatencyRecorder`] — median/P99/mean statistics over simulated
 //!   batch latencies.
 //! * [`server`] — open-loop serving: Poisson arrivals, dynamic batching,
-//!   queueing-inclusive latency (the load/latency curves of Exp #2).
+//!   queueing-inclusive latency (the load/latency curves of Exp #2). It
+//!   holds the one engine-feedback serving loop, shared by every
+//!   front-end below, and its first-come-first-served admission policy.
 //! * [`concurrent`] — the pipelined multi-worker serving front-end:
-//!   sharded arrival queue, logical-time micro-batcher, prep/execute
-//!   pipelining, and paced device dwell for measured wall-clock scaling.
-//! * [`admission`] — per-tenant weighted admission control: token-bucket
-//!   quotas, over-quota-first shedding, bounded-queue backpressure, and
-//!   an SLO-driven adaptive controller with hysteresis.
+//!   sharded arrival queue, one serving loop per worker (or, under a
+//!   linger, the incremental logical-time micro-batcher with prep/execute
+//!   pipelining), and paced device dwell for measured wall-clock scaling.
+//! * [`admission`] — the serving loop's second admission policy,
+//!   per-tenant weighted admission control: token-bucket quotas,
+//!   over-quota-first shedding, bounded-queue backpressure, and an
+//!   SLO-driven adaptive controller with hysteresis.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,4 +50,4 @@ pub use ctr::{auc, evaluate_codec, generate_samples, CtrSample, HashedLr, ParamI
 pub use dense::DenseModel;
 pub use engine::{InferenceEngine, InferenceTiming, MeasuredRun, ModelMode};
 pub use latency::{throughput, LatencyRecorder};
-pub use server::{misses_deadline, serve, ServedRun, ServerConfig, ARRIVAL_SEED};
+pub use server::{misses_deadline, serve, ServedRun, ServerConfig, Warmup, ARRIVAL_SEED};

@@ -13,23 +13,34 @@
 //! queue rejects arrivals that find it full, and a deadline sheds queued
 //! requests that have already waited too long to be worth serving. Both
 //! show up in [`ServedRun`]'s shed counters instead of inflating the tail.
+//!
+//! ## One serving loop
+//!
+//! Every engine-feedback front-end in this crate runs the window loop
+//! here (`drive`): [`serve`], each streaming worker of
+//! [`serve_concurrent`](crate::serve_concurrent), and
+//! [`serve_multi_tenant`](crate::serve_multi_tenant). They differ only in
+//! where arrivals come from and in the admission policy deciding who is
+//! queued, shed and batched — first-come-first-served (`Fifo`) here, the
+//! tenant quotas in [`crate::admission`]. The linger-mode executor of the
+//! concurrent front-end reuses the same execute-and-record step
+//! (`Tally::execute`).
 
-use crate::engine::InferenceEngine;
+use crate::engine::{InferenceEngine, InferenceTiming};
 use crate::latency::LatencyRecorder;
 use fleche_gpu::Ns;
 use fleche_store::api::{EmbeddingCacheSystem, LifetimeStats};
-use fleche_workload::{ArrivalGen, Batch, TraceGenerator};
+use fleche_workload::{ArrivalGen, Batch, BurstWindow, TraceGenerator};
+use std::collections::VecDeque;
 
 /// Seed of the serial arrival stream. [`crate::serve_concurrent`] uses the
 /// same seed so its workers replay the identical Poisson process.
 pub const ARRIVAL_SEED: u64 = 0x005E_A7ED;
 
-/// The deadline-shedding rule, shared by the serial server and both
-/// concurrent batchers: a request sheds when its queueing wait alone —
-/// the time from `arrival` to the moment the batch would seal
-/// (`seal_at`) — already exceeds `deadline`, so serving it could no
-/// longer meet the SLA. One definition keeps the serial and concurrent
-/// front-ends bit-identical on the same arrival stream.
+/// The deadline-shedding rule, shared by every batcher: a request sheds
+/// when its queueing wait alone — the time from `arrival` to the moment
+/// the batch would seal (`seal_at`) — already exceeds `deadline`, so
+/// serving it could no longer meet the SLA.
 pub fn misses_deadline(seal_at: Ns, arrival: Ns, deadline: Ns) -> bool {
     seal_at.saturating_sub(arrival) > deadline
 }
@@ -103,6 +114,49 @@ impl ServedRun {
     }
 }
 
+/// The warm-up every server runs before it measures: `warmup_requests`
+/// samples at an easy pace, in batches of `max_batch` capped at 256,
+/// dealt round-robin across the tenants' trace generators.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Warmup {
+    batch: usize,
+    batches: usize,
+}
+
+impl Warmup {
+    /// The warm-up of a server configured with `warmup_requests` and
+    /// `max_batch` (which must be positive).
+    pub fn new(warmup_requests: usize, max_batch: usize) -> Warmup {
+        let batch = max_batch.min(256);
+        Warmup {
+            batch,
+            batches: warmup_requests.div_ceil(batch),
+        }
+    }
+
+    /// Samples tenant `tenant` of `tenants` draws from its generator.
+    pub fn samples(&self, tenant: usize, tenants: usize) -> u64 {
+        (self.batches.saturating_sub(tenant).div_ceil(tenants) * self.batch) as u64
+    }
+
+    /// Runs the warm-up — tenant `t` draws from `gens[t]` under its own
+    /// identity, so tenant-partitioned caches attribute residency
+    /// correctly — then resets the system's statistics.
+    pub fn run<S: EmbeddingCacheSystem>(
+        &self,
+        engine: &mut InferenceEngine<S>,
+        gens: &mut [TraceGenerator],
+    ) {
+        for round in 0..self.batches {
+            let tenant = round % gens.len();
+            engine.system_mut().set_active_tenant(tenant);
+            let b = gens[tenant].next_batch(self.batch);
+            engine.run_batch(&b);
+        }
+        engine.system_mut().reset_stats();
+    }
+}
+
 /// Simulates an open-loop server over `engine`. The engine's own
 /// [`crate::ModelMode`] governs what each batch runs.
 ///
@@ -116,113 +170,262 @@ pub fn serve<S: EmbeddingCacheSystem>(
 ) -> ServedRun {
     assert!(config.offered_load > 0.0, "offered load must be positive");
     assert!(config.max_batch > 0, "max batch must be positive");
-    let mut agen = ArrivalGen::new(
-        ARRIVAL_SEED,
-        Ns::from_secs(1.0 / config.offered_load).as_ns(),
-    );
+    let gens = std::slice::from_mut(gen);
+    Warmup::new(config.warmup_requests, config.max_batch).run(engine, gens);
+    let arrivals = arrival_times(ARRIVAL_SEED, config.offered_load, &[], engine.gpu().now())
+        .take(config.requests)
+        .map(|at| Arrival { at, tenant: 0 });
+    drive(engine, gens, arrivals, &mut Fifo::new(config), &mut ())
+}
 
-    // Warm the cache at an easy pace.
-    for _ in 0..config.warmup_requests.div_ceil(config.max_batch) {
-        let b = gen.next_batch(config.max_batch.min(256));
-        engine.run_batch(&b);
-    }
-    engine.system_mut().reset_stats();
-
-    // Pre-draw arrival offsets (exponential inter-arrival gaps).
-    let mut arrivals = Vec::with_capacity(config.requests);
-    let mut t = engine.gpu().now();
-    for _ in 0..config.requests {
+/// The Poisson arrival stream at `load` requests per second, modulated by
+/// `bursts`: absolute times accumulated gap by gap from `base`. Every
+/// front-end draws its arrivals through this one expression, so streams
+/// with the same seed are bit-identical.
+pub(crate) fn arrival_times(
+    seed: u64,
+    load: f64,
+    bursts: &[BurstWindow],
+    base: Ns,
+) -> impl Iterator<Item = Ns> {
+    let mut agen =
+        ArrivalGen::new(seed, Ns::from_secs(1.0 / load).as_ns()).with_bursts(bursts.to_vec());
+    let mut t = base;
+    std::iter::repeat_with(move || {
         t += Ns(agen.next_gap_ns());
-        arrivals.push(t);
+        t
+    })
+}
+
+/// One request on a serving loop's arrival clock.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Arrival {
+    pub(crate) at: Ns,
+    /// The tenant (model) it is for; always 0 on a single-model server.
+    pub(crate) tenant: usize,
+}
+
+/// Who is queued, shed and batched: the one decision that differs between
+/// the front-ends sharing [`drive`].
+pub(crate) trait Admission {
+    /// `a` has arrived by the current window anchor: queue or reject it.
+    fn admit(&mut self, a: Arrival);
+
+    /// Arrival time of the oldest waiter, if anyone waits.
+    fn oldest(&self) -> Option<Ns>;
+
+    /// Applies the shedding rule at the window anchor `ready_from`, then
+    /// moves the next batch's members (arrival times, oldest first) into
+    /// the empty `members` and returns their tenant. `None` when nobody
+    /// is left to serve.
+    fn select(&mut self, ready_from: Ns, members: &mut Vec<Ns>) -> Option<usize>;
+
+    /// Runs `tenant`'s batch of `members` once the engine has skipped
+    /// forward to its start.
+    fn execute<S: EmbeddingCacheSystem>(
+        &mut self,
+        engine: &mut InferenceEngine<S>,
+        _tenant: usize,
+        _members: &[Ns],
+        batch: &Batch,
+    ) -> InferenceTiming {
+        engine.run_batch(batch)
     }
 
-    let mut latency = LatencyRecorder::new();
-    // Requests already handled (served or shed); the front pointer skips
-    // them.
-    let mut done_flag = vec![false; arrivals.len()];
-    let mut next = 0usize;
-    let mut batches = 0u64;
-    let mut batched_samples = 0u64;
-    let mut shed_queue = 0u64;
-    let mut shed_deadline = 0u64;
-    let mut busy = Ns::ZERO;
-    let t_start = engine.gpu().now();
-    while next < arrivals.len() {
-        if done_flag[next] {
-            next += 1;
-            continue;
+    /// Requests shed so far: `(queue bound, deadline)`.
+    fn shed(&self) -> (u64, u64);
+}
+
+/// First-come-first-served admission, the single-model server's rule. At
+/// each window, waiters that already missed the deadline shed oldest
+/// first; then the newest arrivals beyond the queue bound are rejected
+/// (they found the queue full); then the oldest `max_batch` ride.
+pub(crate) struct Fifo<'a> {
+    config: &'a ServerConfig,
+    waiting: VecDeque<Ns>,
+    shed_queue: u64,
+    shed_deadline: u64,
+}
+
+impl<'a> Fifo<'a> {
+    pub(crate) fn new(config: &'a ServerConfig) -> Fifo<'a> {
+        Fifo {
+            config,
+            waiting: VecDeque::new(),
+            shed_queue: 0,
+            shed_deadline: 0,
         }
-        // The engine is idle at `now`; wait for at least one arrival.
-        let now = engine.gpu().now();
-        let ready_from = now.max(arrivals[next]);
-        // The waiting window: everything that has arrived by `ready_from`.
-        let mut end = next + 1;
-        while end < arrivals.len() && arrivals[end] <= ready_from {
-            end += 1;
-        }
-        // Deadline shedding: the oldest waiters may already have blown the
-        // SLA on queueing alone — serving them is wasted work.
-        if let Some(dl) = config.deadline {
-            while next < end && misses_deadline(ready_from, arrivals[next], dl) {
-                if !done_flag[next] {
-                    shed_deadline += 1;
-                }
-                next += 1;
-            }
-            if next >= end {
-                continue;
-            }
-        }
-        let mut live: Vec<usize> = (next..end).filter(|&i| !done_flag[i]).collect();
-        // Bounded admission queue: the newest arrivals found it full and
-        // were rejected at arrival time.
-        if let Some(cap) = config.queue_capacity {
-            let cap = cap.max(1);
-            if live.len() > cap {
-                for &i in &live[cap..] {
-                    done_flag[i] = true;
-                }
-                shed_queue += (live.len() - cap) as u64;
-                live.truncate(cap);
-            }
-        }
-        live.truncate(config.max_batch);
-        let count = live.len();
-        let batch: Batch = gen.next_batch(count);
-        // Advance the host clock across the idle gap (arrival-driven).
-        if arrivals[next] > now {
-            // Idle skip: model as free host time (no spans recorded).
-            let gap = arrivals[next] - now;
-            engine_skip(engine, gap);
-        }
-        let t0 = engine.gpu().now();
-        engine.run_batch(&batch);
-        let done = engine.gpu().now();
-        busy += done - t0;
-        for &i in &live {
-            latency.record(done - arrivals[i]);
-            done_flag[i] = true;
-        }
-        batches += 1;
-        batched_samples += count as u64;
-    }
-    let elapsed = engine.gpu().now() - t_start;
-    ServedRun {
-        achieved: batched_samples as f64 / elapsed.as_secs().max(1e-12),
-        mean_batch: batched_samples as f64 / batches.max(1) as f64,
-        utilization: (busy / elapsed).min(1.0),
-        offered: arrivals.len() as u64,
-        served: batched_samples,
-        shed_queue,
-        shed_deadline,
-        lifetime: engine.system().lifetime_stats(),
-        latency,
     }
 }
 
-/// Advances the engine's host clock across an idle gap.
-fn engine_skip<S: EmbeddingCacheSystem>(engine: &mut InferenceEngine<S>, gap: Ns) {
-    engine.gpu_mut().elapse_host("idle", gap);
+impl Admission for Fifo<'_> {
+    fn admit(&mut self, a: Arrival) {
+        self.waiting.push_back(a.at);
+    }
+
+    fn oldest(&self) -> Option<Ns> {
+        self.waiting.front().copied()
+    }
+
+    fn select(&mut self, ready_from: Ns, members: &mut Vec<Ns>) -> Option<usize> {
+        // Deadline shedding: the oldest waiters may already have blown the
+        // SLA on queueing alone — serving them is wasted work.
+        if let Some(dl) = self.config.deadline {
+            while let Some(&arrival) = self.waiting.front() {
+                if !misses_deadline(ready_from, arrival, dl) {
+                    break;
+                }
+                self.waiting.pop_front();
+                self.shed_deadline += 1;
+            }
+        }
+        // Bounded admission queue: the newest arrivals found it full and
+        // were rejected at arrival time.
+        if let Some(cap) = self.config.queue_capacity {
+            let cap = cap.max(1);
+            if self.waiting.len() > cap {
+                self.shed_queue += (self.waiting.len() - cap) as u64;
+                self.waiting.truncate(cap);
+            }
+        }
+        let count = self.waiting.len().min(self.config.max_batch);
+        members.extend(self.waiting.drain(..count));
+        (count > 0).then_some(0)
+    }
+
+    fn shed(&self) -> (u64, u64) {
+        (self.shed_queue, self.shed_deadline)
+    }
+}
+
+/// Wall-clock work a driver wraps around each engine call (stage timing,
+/// paced device dwell). It observes the simulation and never steers it.
+pub(crate) trait BatchHook {
+    /// A batch is about to be assembled and run.
+    fn begin(&mut self);
+    /// The batch ran for `sim_time` of simulated time.
+    fn end(&mut self, sim_time: Ns);
+}
+
+impl BatchHook for () {
+    fn begin(&mut self) {}
+    fn end(&mut self, _sim_time: Ns) {}
+}
+
+/// What a serving loop accumulates on its way to a [`ServedRun`].
+#[derive(Default)]
+pub(crate) struct Tally {
+    latency: LatencyRecorder,
+    start: Ns,
+    busy: Ns,
+    batches: u64,
+    served: u64,
+}
+
+impl Tally {
+    /// An empty tally for a run whose measured window opens at `start`.
+    pub(crate) fn new(start: Ns) -> Tally {
+        Tally {
+            start,
+            ..Tally::default()
+        }
+    }
+
+    /// The loop's execute step: skips the idle engine forward to `start`
+    /// (modelled as free host time), runs one batch through `run`, and
+    /// records every member's latency from arrival to completion.
+    pub(crate) fn execute<S: EmbeddingCacheSystem>(
+        &mut self,
+        engine: &mut InferenceEngine<S>,
+        start: Ns,
+        members: &[Ns],
+        run: impl FnOnce(&mut InferenceEngine<S>) -> InferenceTiming,
+    ) -> InferenceTiming {
+        let now = engine.gpu().now();
+        if start > now {
+            engine.gpu_mut().elapse_host("idle", start - now);
+        }
+        let t0 = engine.gpu().now();
+        let timing = run(engine);
+        let done = engine.gpu().now();
+        self.busy += done - t0;
+        for &arrival in members {
+            self.latency.record(done - arrival);
+        }
+        self.batches += 1;
+        self.served += members.len() as u64;
+        timing
+    }
+
+    /// The run's result, given what the loop counted beside the batches.
+    pub(crate) fn finish<S: EmbeddingCacheSystem>(
+        self,
+        engine: &InferenceEngine<S>,
+        offered: u64,
+        (shed_queue, shed_deadline): (u64, u64),
+    ) -> ServedRun {
+        let elapsed = engine.gpu().now() - self.start;
+        ServedRun {
+            achieved: self.served as f64 / elapsed.as_secs().max(1e-12),
+            mean_batch: self.served as f64 / self.batches.max(1) as f64,
+            utilization: (self.busy / elapsed).min(1.0),
+            offered,
+            served: self.served,
+            shed_queue,
+            shed_deadline,
+            lifetime: engine.system().lifetime_stats(),
+            latency: self.latency,
+        }
+    }
+}
+
+/// The engine-feedback window loop. Whenever the engine goes idle at
+/// `now`, the window anchors at `ready_from = max(now, oldest waiter)`:
+/// every arrival up to the anchor is handed to `policy`, which sheds and
+/// picks the batch; the batch then starts at its oldest member's arrival
+/// (an idle gap is skipped) and each member's latency is recorded. Runs
+/// until `arrivals` is exhausted and nobody waits.
+pub(crate) fn drive<S, P, H>(
+    engine: &mut InferenceEngine<S>,
+    gens: &mut [TraceGenerator],
+    arrivals: impl Iterator<Item = Arrival>,
+    policy: &mut P,
+    hook: &mut H,
+) -> ServedRun
+where
+    S: EmbeddingCacheSystem,
+    P: Admission,
+    H: BatchHook,
+{
+    let mut arrivals = arrivals.peekable();
+    let mut tally = Tally::new(engine.gpu().now());
+    let mut offered = 0u64;
+    let mut members = Vec::new();
+    loop {
+        let Some(oldest) = policy.oldest() else {
+            // Nobody waits: the next arrival opens the next window.
+            let Some(a) = arrivals.next() else { break };
+            offered += 1;
+            policy.admit(a);
+            continue;
+        };
+        let ready_from = engine.gpu().now().max(oldest);
+        while let Some(a) = arrivals.next_if(|a| a.at <= ready_from) {
+            offered += 1;
+            policy.admit(a);
+        }
+        members.clear();
+        let Some(tenant) = policy.select(ready_from, &mut members) else {
+            continue;
+        };
+        hook.begin();
+        let batch = gens[tenant].next_batch(members.len());
+        let timing = tally.execute(engine, members[0], &members, |engine| {
+            policy.execute(engine, tenant, &members, &batch)
+        });
+        hook.end(timing.total);
+    }
+    tally.finish(engine, offered, policy.shed())
 }
 
 #[cfg(test)]
@@ -372,6 +575,56 @@ mod tests {
             run.latency.quantile(1.0),
             unbounded.latency.quantile(1.0)
         );
+    }
+
+    #[test]
+    fn warmup_draws_every_requested_sample() {
+        // A batch cap above the 256-sample warm-up batch must not shrink
+        // the warm-up: all of `warmup_requests` is drawn before measuring.
+        let (mut eng, mut gen) = engine();
+        let run = serve(
+            &mut eng,
+            &mut gen,
+            &ServerConfig {
+                max_batch: 1_024,
+                warmup_requests: 4_096,
+                requests: 200,
+                ..open_config(100_000.0)
+            },
+        );
+        assert_eq!(gen.produced(), 4_096 + run.served);
+        // Three tenants share 4 batches of 256 round-robin.
+        let warmup = Warmup::new(1_000, 4_096);
+        assert_eq!(warmup.samples(0, 3), 512);
+        assert_eq!(warmup.samples(1, 3), 256);
+        assert_eq!(warmup.samples(2, 3), 256);
+    }
+
+    #[test]
+    fn fifo_never_forms_an_empty_batch() {
+        // The newest arrival is rejected by the queue bound; once the
+        // older waiter has aged out nobody is left, so nothing runs even
+        // though the rejected arrival itself is still young.
+        let config = ServerConfig {
+            max_batch: 1,
+            queue_capacity: Some(2),
+            deadline: Some(Ns(100.0)),
+            ..open_config(1.0)
+        };
+        let mut fifo = Fifo::new(&config);
+        for at in [0.0, 10.0, 20.0] {
+            fifo.admit(Arrival {
+                at: Ns(at),
+                tenant: 0,
+            });
+        }
+        let mut members = Vec::new();
+        assert_eq!(fifo.select(Ns(20.0), &mut members), Some(0));
+        assert_eq!(members, vec![Ns(0.0)]);
+        members.clear();
+        assert_eq!(fifo.select(Ns(115.0), &mut members), None);
+        assert!(members.is_empty());
+        assert_eq!(fifo.shed(), (1, 1));
     }
 
     #[test]

@@ -478,11 +478,7 @@ mod tests {
         // Batch sizes that exercise the 4-way body and every remainder,
         // with ragged dims so the lockstep prefix + tail path runs.
         let slots: Vec<Vec<f32>> = (0..11)
-            .map(|s| {
-                (0..(13 + 7 * s) % 40)
-                    .map(|i| prf_f32(s, i))
-                    .collect()
-            })
+            .map(|s| (0..(13 + 7 * s) % 40).map(|i| prf_f32(s, i)).collect())
             .collect();
         for take in 0..slots.len() {
             let refs: Vec<&[f32]> = slots[..take].iter().map(|v| v.as_slice()).collect();

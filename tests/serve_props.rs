@@ -1,14 +1,16 @@
-//! Property tests for the concurrent serving front-end: the micro-batcher
-//! must partition its input exactly (no drop, no duplicate) while holding
-//! the logical-time latency budget, and `serve_concurrent` with a single
-//! worker must stay bit-identical to the serial `serve` loop across
-//! randomized server configurations.
+//! Property tests for the serving front-ends: the micro-batcher must
+//! partition its input exactly (no drop, no duplicate) while holding the
+//! logical-time latency budget, and both `serve_concurrent` with a single
+//! worker and `serve_multi_tenant` with one unconstrained tenant must stay
+//! bit-identical to the serial `serve` loop across randomized server
+//! configurations.
 
 use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{
-    serve, serve_concurrent, ConcurrentConfig, DenseModel, InferenceEngine, MicroBatcher,
-    MicroBatcherConfig, ModelMode, ServerConfig,
+    serve, serve_concurrent, serve_multi_tenant, ConcurrentConfig, ControllerConfig, DenseModel,
+    InferenceEngine, MicroBatcher, MicroBatcherConfig, ModelMode, MultiTenantConfig,
+    OverloadCostSpec, ServerConfig, TenantSpec, DEFAULT_PIPELINE_DEPTH, DEFAULT_SHARD_CAPACITY,
 };
 use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
@@ -163,7 +165,17 @@ proptest! {
         };
         let (mut eng, mut gen) = build(0);
         let serial = serve(&mut eng, &mut gen, &cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(&cfg, 1));
+        let streaming = ConcurrentConfig {
+            server: cfg.clone(),
+            workers: 1,
+            linger: None,
+            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
+            pace: 0.0,
+            bursts: Vec::new(),
+            analyze: false,
+            shard_capacity: DEFAULT_SHARD_CAPACITY,
+        };
+        let conc = serve_concurrent(build, &streaming);
         let run = &conc.workers[0].run;
         prop_assert_eq!(serial.offered, run.offered);
         prop_assert_eq!(serial.served, run.served);
@@ -188,5 +200,93 @@ proptest! {
         prop_assert_eq!(serial.lifetime.hits, run.lifetime.hits);
         prop_assert_eq!(serial.lifetime.misses, run.lifetime.misses);
         prop_assert_eq!(serial.lifetime.batches, run.lifetime.batches);
+    }
+}
+
+/// The multi-tenant configuration that admits exactly like `cfg`: one
+/// tenant whose token bucket never runs dry, free admission work, no
+/// controller, and the same queue bound and deadline.
+fn one_tenant(cfg: &ServerConfig) -> MultiTenantConfig {
+    MultiTenantConfig {
+        tenants: vec![TenantSpec {
+            offered_load: cfg.offered_load,
+            requests: cfg.requests,
+            quota: 1e18,
+            quota_burst: 1e18,
+            slo_p99: Ns::from_ms(2.0),
+            bursts: Vec::new(),
+        }],
+        max_batch: cfg.max_batch,
+        warmup_requests: cfg.warmup_requests,
+        queue_capacity: cfg.queue_capacity.unwrap_or(usize::MAX),
+        deadline: cfg.deadline,
+        controller: ControllerConfig {
+            enabled: false,
+            ..ControllerConfig::default()
+        },
+        controller_min_samples: 32,
+        costs: OverloadCostSpec {
+            bucket_probe_ns: 0.0,
+            shed_ns: 0.0,
+            controller_update_ns: 0.0,
+            tenant_switch_ns: 0.0,
+        },
+        analyze: false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A one-tenant multi-tenant server with an unbounded quota, free
+    /// admission work and the controller off is the serial server: same
+    /// served and shed counts, same latency bits, same final device clock.
+    /// Each case bounds the queue or sets a deadline, never both: with
+    /// both, the two policies part ways by design — the serial rule sheds
+    /// expired waiters before it applies the bound, the tenant-quota rule
+    /// applies the bound as each request arrives.
+    #[test]
+    fn one_tenant_multi_tenant_is_bit_identical_to_serial(
+        load_k in 200u32..20_000,
+        max_batch in 16usize..513,
+        requests in 400usize..1_900,
+        bounds in prop_oneof![
+            Just((None, None)),
+            (16usize..2_016).prop_map(|cap| (Some(cap), None)),
+            (50u32..2_050).prop_map(|deadline_us| (None, Some(deadline_us))),
+        ],
+    ) {
+        let (cap, deadline_us) = bounds;
+        let cfg = ServerConfig {
+            offered_load: load_k as f64 * 1_000.0,
+            max_batch,
+            requests,
+            warmup_requests: 1_000,
+            queue_capacity: cap,
+            deadline: deadline_us.map(|d| Ns::from_us(d as f64)),
+        };
+        let (mut eng, mut gen) = build(0);
+        let serial = serve(&mut eng, &mut gen, &cfg);
+        let (mut mt_eng, gen) = build(0);
+        let mut gens = vec![gen];
+        let mt = serve_multi_tenant(&mut mt_eng, &mut gens, &one_tenant(&cfg));
+        let t = &mt.tenants[0];
+        prop_assert_eq!(t.offered, serial.offered);
+        prop_assert_eq!(t.served, serial.served);
+        prop_assert_eq!(t.shed_quota, 0);
+        prop_assert_eq!(t.shed_queue, serial.shed_queue);
+        prop_assert_eq!(t.shed_deadline, serial.shed_deadline);
+        prop_assert_eq!(
+            t.latency.p99().as_ns().to_bits(),
+            serial.latency.p99().as_ns().to_bits()
+        );
+        prop_assert_eq!(
+            t.latency.mean().as_ns().to_bits(),
+            serial.latency.mean().as_ns().to_bits()
+        );
+        prop_assert_eq!(
+            mt_eng.gpu().now().as_ns().to_bits(),
+            eng.gpu().now().as_ns().to_bits()
+        );
     }
 }
